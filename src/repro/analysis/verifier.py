@@ -30,6 +30,12 @@ ever materialized and nothing executes.  The invariants:
   eviction-counter dataflow: two lanes can only collide on an
   accumulation address if they accumulate into the same output element,
   which is precisely what the rolling-eviction counter arbitrates.
+* **numeric plan** — once everything above holds: the operand pointers
+  are canonical and agree with every op's slices, the plan has one
+  entry per partial product with slots and B entries in range, and its
+  per-slot histogram equals the rolling counters (``level="quick"``).
+  At ``level="full"`` every partial product's B entry and slot key equal
+  its expanded ``(row, col)`` in Gustavson row-major order.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import numpy as np
 
 from repro.analysis.findings import Finding, VerificationError
 from repro.compiler.program import ELEMENT_BYTES, AddressMap, Program, ProgramArrays
+from repro.sparse.symbolic import index_dtype
 
 #: 22-bit register fields of the MMH instruction limit the per-instruction
 #: operand offsets (Figure 7).  Shared by the compiler's lowering and the
@@ -326,7 +333,8 @@ def _check_output_structure(arrays: ProgramArrays,
 
 def _op_chunks(pp_per_op: np.ndarray) -> list[tuple[int, int]]:
     """Cut ``[0, n_ops)`` into ranges of at most roughly
-    :data:`VERIFY_CHUNK_PARTIAL_PRODUCTS` expanded partial products."""
+    :data:`VERIFY_CHUNK_PARTIAL_PRODUCTS` expanded partial products
+    (``pp_per_op`` may count per A entry just as well as per op)."""
     total = int(pp_per_op.sum())
     n_ops = int(pp_per_op.size)
     if total <= VERIFY_CHUNK_PARTIAL_PRODUCTS or n_ops == 0:
@@ -499,6 +507,126 @@ def _check_counters_and_exclusivity(arrays: ProgramArrays,
     return findings
 
 
+def _check_operand_pointers(arrays: ProgramArrays,
+                            source: str) -> list[Finding]:
+    """A's column pointers and B's row pointers are canonical, and every
+    op's tile slices lie inside column / row ``op_k``."""
+    findings: list[Finding] = []
+    n_inner = arrays.a_indptr.size - 1
+    for name, indptr, nnz in (("a_indptr", arrays.a_indptr,
+                               arrays.a_rows.size),
+                              ("b_indptr", arrays.b_indptr,
+                               arrays.b_cols.size)):
+        if (indptr.size != n_inner + 1 or n_inner < 0
+                or int(indptr[0]) != 0 or int(indptr[-1]) != nnz
+                or np.any(np.diff(indptr) < 0)):
+            findings.append(_finding(
+                "operand-pointers", source,
+                f"{name} (length {indptr.size}) is not a non-decreasing "
+                f"pointer array spanning [0, {nnz}] over {n_inner} inner "
+                "indices"))
+    if findings or arrays.n_ops == 0:
+        return findings
+    k = arrays.op_k.astype(np.int64)
+    bad = (k < 0) | (k >= n_inner)
+    if not np.any(bad):
+        bad = ((arrays.op_a_lo < arrays.a_indptr[k])
+               | (arrays.op_a_hi > arrays.a_indptr[k + 1])
+               | (arrays.op_b_lo < arrays.b_indptr[k])
+               | (arrays.op_b_hi > arrays.b_indptr[k + 1]))
+    if np.any(bad):
+        index = _first_bad(bad)
+        findings.append(_finding(
+            "operand-pointers", source,
+            f"op {index}: tile slices A [{int(arrays.op_a_lo[index])}, "
+            f"{int(arrays.op_a_hi[index])}) / B "
+            f"[{int(arrays.op_b_lo[index])}, {int(arrays.op_b_hi[index])}) "
+            f"fall outside column / row k={int(k[index])} of the operand "
+            "pointers"))
+    return findings
+
+
+def _check_plan(arrays: ProgramArrays, source: str, total: int,
+                level: str) -> list[Finding]:
+    """The numeric plan maps each partial product to its own output slot
+    and B entry (see the module docstring for the two levels)."""
+    findings = _check_operand_pointers(arrays, source)
+    if findings:
+        return findings
+    try:
+        plan = arrays.numeric_plan()  # rebuilt here after a pickle load
+    except ValueError as error:  # operands that fail CSR/CSC validation
+        return [_finding("operand-pointers", source, str(error))]
+    nnz, b_nnz = arrays.output_nnz, arrays.b_cols.size
+    for name, column, bound in (("plan_slot", plan.slot, nnz),
+                                ("plan_b_index", plan.b_index, b_nnz)):
+        if column.size != total:
+            findings.append(_finding(
+                "plan-length", source,
+                f"{name} has {column.size} entries for {total} partial "
+                "products"))
+        elif column.dtype != index_dtype(bound):
+            findings.append(_finding(
+                "column-dtype", source,
+                f"{name} is {column.dtype}; indices below {bound} persist "
+                f"as {np.dtype(index_dtype(bound))}"))
+        elif total and (int(column.min()) < 0
+                        or int(column.max()) >= bound):
+            index = _first_bad((column < 0) | (column >= bound))
+            findings.append(_finding(
+                "plan-range", source,
+                f"partial product {index}: {name}={int(column[index])} "
+                f"outside [0, {bound})"))
+    if findings:
+        return findings
+    histogram = np.bincount(plan.slot, minlength=nnz)
+    mismatch = histogram != arrays.out_counts
+    if np.any(mismatch):
+        index = _first_bad(mismatch)
+        findings.append(_finding(
+            "plan-histogram", source,
+            f"slot {index}: the plan accumulates {int(histogram[index])} "
+            f"partial products but the rolling counter says "
+            f"{int(arrays.out_counts[index])}"))
+    if level != "full" or findings:
+        return findings
+
+    # Full level: re-expand every partial product in Gustavson row-major
+    # order (A entries sorted by row, k ascending within a row).
+    n_cols = arrays.shape[1]
+    e_k = np.repeat(np.arange(arrays.a_indptr.size - 1, dtype=np.int64),
+                    np.diff(arrays.a_indptr))
+    by_row = np.argsort(arrays.a_rows, kind="stable")
+    rows = arrays.a_rows[by_row].astype(np.int64)
+    ks = e_k[by_row]
+    rep = np.diff(arrays.b_indptr)[ks]
+    ends = np.cumsum(rep)
+    flat = arrays._flat_keys()
+    for lo, hi in _op_chunks(rep):
+        p0 = int(ends[lo - 1]) if lo else 0
+        p1 = int(ends[hi - 1])
+        rep_c = rep[lo:hi]
+        b_entry = np.arange(p0, p1, dtype=np.int64) + np.repeat(
+            arrays.b_indptr[ks[lo:hi]] - ends[lo:hi] + rep_c, rep_c)
+        keys = (np.repeat(rows[lo:hi] * n_cols, rep_c)
+                + arrays.b_cols[b_entry])
+        bad = ((plan.b_index[p0:p1] != b_entry)
+               | (flat[plan.slot[p0:p1]] != keys))
+        if np.any(bad):
+            index = p0 + _first_bad(bad)
+            key = int(keys[index - p0])
+            findings.append(_finding(
+                "plan-keys", source,
+                f"partial product {index}: plan says B entry "
+                f"{int(plan.b_index[index])} into slot "
+                f"{int(plan.slot[index])} (key "
+                f"{int(flat[plan.slot[index]])}); its expansion is B entry "
+                f"{int(b_entry[index - p0])} into key {key} (row "
+                f"{key // n_cols}, col {key % n_cols})"))
+            return findings
+    return findings
+
+
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
@@ -521,7 +649,11 @@ def verify_arrays(arrays: ProgramArrays, address_map: AddressMap,
     findings += _check_row_groups(arrays, source)
     findings += _check_counters_and_exclusivity(
         arrays, address_map, source, total_partial_products, level)
-    return findings
+    if findings:
+        return findings  # the plan is checked against a proven structure
+    if total_partial_products is None:
+        total_partial_products = int(arrays.out_counts.sum())
+    return _check_plan(arrays, source, total_partial_products, level)
 
 
 def verify_program(program: Program, level: str = "full") -> list[Finding]:

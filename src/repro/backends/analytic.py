@@ -4,8 +4,20 @@ The cycle backend replays every HACC through an event queue, which costs
 minutes of host time per thousand simulated cycles; the analytic backend
 instead *predicts* the cycle count from the compiled program's op counts and
 the chip's throughput ceilings, and computes the numeric output through the
-vectorized kernel layer.  Large graphs that would take hours under NeuraSim
-finish in milliseconds.
+kernel layer.  Large graphs that would take hours under NeuraSim finish in
+milliseconds.
+
+Output
+------
+A columnar program carries its numeric plan: the output slot and B entry
+of every partial product, fixed at compile time by the symbolic pass.  The
+backend hands that plan to :func:`repro.sparse.kernels.spgemm`, so a run
+never re-derives the output structure.  Each run is one gather-multiply
+plus one ``np.bincount``, which sums every output in ascending-``k``
+order.  Called without operands, the backend rebuilds them from the
+program's own operand arrays and still goes through the plan.  Only
+legacy (loop-compiled) programs have no plan.  Those compute the output
+from the operands, or replay their macro-ops when there are none.
 
 Model
 -----
@@ -83,16 +95,22 @@ class AnalyticBackend(ExecutionBackend):
     def _compute_output(self, program: Program, ctx: ExecutionContext,
                         a_csr: CSRMatrix | None,
                         b_csr: CSRMatrix | None) -> CSRMatrix:
-        """Numeric product via the kernel layer (or macro-op replay)."""
-        if a_csr is not None and b_csr is not None:
-            from repro.sparse import kernels
+        """Numeric product via the kernel layer and the program's plan
+        (or macro-op replay for a legacy program without operands)."""
+        from repro.sparse import kernels
 
-            result = kernels.spgemm(a_csr, b_csr,
-                                    dataflow="tiled_gustavson",
-                                    impl=ctx.kernel_impl,
-                                    tile_rows=program.tile_size)
-            return result.matrix
-        return coo_to_csr(dense_to_coo(program.reference_result()))
+        arrays = program.arrays
+        plan = None
+        if arrays is not None:
+            plan = arrays.numeric_plan()
+            if a_csr is None or b_csr is None:
+                a_csr, b_csr = arrays.operands()
+        elif a_csr is None or b_csr is None:
+            return coo_to_csr(dense_to_coo(program.reference_result()))
+        result = kernels.spgemm(a_csr, b_csr, dataflow="tiled_gustavson",
+                                impl=ctx.kernel_impl,
+                                tile_rows=program.tile_size, plan=plan)
+        return result.matrix
 
     # ------------------------------------------------------------------
     def predict(self, program: Program, ctx: ExecutionContext,

@@ -48,7 +48,11 @@ from repro.compiler.program import (
 from repro.sparse.convert import csc_to_csr
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.symbolic import SymbolicProduct, symbolic_spgemm_from_csc
+from repro.sparse.symbolic import (
+    SymbolicProduct,
+    numeric_plan,
+    symbolic_spgemm_from_csc,
+)
 
 # The 22-bit MMH offset limit and its compile-time checks live in
 # repro.analysis.verifier so the compiler and the static IR verifier can
@@ -72,6 +76,9 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
        expansion the SpGEMM kernels use for partial products).
     3. Rolling-counter addresses resolve through one ``searchsorted`` of
        each op's first (row, col) pair against the symbolic slot order.
+    4. The numeric plan maps every partial product, in Gustavson row-major
+       order, to its output slot and B entry; A's row-major order is a
+       stable sort of the CSC entries by row.
     """
     n_inner = a_csc.shape[1]
     n_cols = b_csr.shape[1]
@@ -135,6 +142,13 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
     _check_offset_arrays(a_data=op_a_addr, b_col_ind=op_b_col_addr,
                          b_data=op_b_data_addr, roll_counter=op_counter_addr)
 
+    # --- 4. numeric plan ------------------------------------------------
+    by_row = np.argsort(a_csc.indices, kind="stable")
+    a_csr_indptr = np.zeros(a_csc.shape[0] + 1, dtype=int_like)
+    np.cumsum(np.bincount(a_csc.indices, minlength=a_csc.shape[0]),
+              out=a_csr_indptr[1:])
+    plan = numeric_plan(a_csr_indptr, e_k[by_row], b_csr, symbolic)
+
     # Everything stored per-op or per-nonzero fits comfortably in 32 bits
     # (indices are matrix dimensions, addresses passed the 22-bit check),
     # so the persisted payload is downcast to halve spill/ship size.
@@ -144,7 +158,9 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
         out_indptr=symbolic.indptr,
         out_indices=symbolic.indices.astype(narrow),
         out_counts=symbolic.counts.astype(narrow),
+        a_indptr=a_csc.indptr.copy(),
         a_rows=a_csc.indices.astype(narrow), a_values=a_csc.data.copy(),
+        b_indptr=b_csr.indptr.copy(),
         b_cols=b_csr.indices.astype(narrow), b_values=b_csr.data.copy(),
         op_k=op_k.astype(narrow), op_group=op_group.astype(narrow),
         op_a_lo=op_a_lo.astype(narrow), op_a_hi=op_a_hi.astype(narrow),
@@ -153,10 +169,11 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
         op_a_addr=op_a_addr.astype(narrow),
         op_b_col_addr=op_b_col_addr.astype(narrow),
         op_b_data_addr=op_b_data_addr.astype(narrow),
-        op_counter_addr=op_counter_addr.astype(narrow))
-    # The symbolic pass already built the ascending slot-key index; hand it
-    # to the arrays so the first HACC expansion doesn't rebuild it.
-    arrays.__dict__["_flat_cache"] = flat_keys
+        op_counter_addr=op_counter_addr.astype(narrow),
+        plan_slot=plan.slot, plan_b_index=plan.b_index)
+    # The int64 slot-key index is not pinned on the arrays: the numeric
+    # plan already resolved every slot, and the simulators rebuild the
+    # index on first use (ProgramArrays._flat_keys).
     return arrays
 
 

@@ -12,9 +12,12 @@ addresses and output-slot indices, plus the CSR-shaped symbolic output
 structure), and the familiar :class:`MMHMacroOp` objects are materialized
 lazily — only when the cycle/functional simulators actually iterate them.
 Count-only consumers (the analytic backend, report rows, cache
-fingerprints) read the arrays directly and never pay for materialization;
-pickling a columnar program (disk cache spill, cross-process shipping)
-serialises only the arrays.
+fingerprints) read the arrays directly and never pay for materialization.
+The payload also carries the product's numeric plan (every partial
+product's output slot and B entry), so the analytic backend's numeric
+phase is a gather-multiply and one ``np.bincount`` per run.  Pickling a
+columnar program (disk cache spill, cross-process shipping) serialises
+only the arrays, less the plan, which rebuilds on first use.
 """
 
 from __future__ import annotations
@@ -32,7 +35,15 @@ from repro.arch.isa import (
     encode_hacc,
     encode_mmh,
 )
-from repro.sparse.symbolic import row_per_slot
+from repro.sparse.convert import csc_to_csr
+from repro.sparse.csc import CSCMatrix
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.symbolic import (
+    NumericPlan,
+    SymbolicProduct,
+    numeric_plan,
+    row_per_slot,
+)
 
 #: Bytes per matrix element in the virtual HBM layout (fp32 value or int32 index).
 ELEMENT_BYTES = 4
@@ -219,10 +230,10 @@ class ProgramArrays:
             structure (canonical row-major slot order; slot ``s`` is output
             element ``(row, out_indices[s])`` with rolling counter
             ``out_counts[s]``).
-        a_rows / a_values: A operand entries in CSC order (row index and
-            value per non-zero).
-        b_cols / b_values: B operand entries in CSR order (column index and
-            value per non-zero).
+        a_indptr / a_rows / a_values: the A operand in CSC (column
+            pointers, then row index and value per non-zero).
+        b_indptr / b_cols / b_values: the B operand in CSR (row pointers,
+            then column index and value per non-zero).
         op_k: shared inner index per op.
         op_group: row-group index per op (``min(a_rows) // tile_size``).
         op_a_lo / op_a_hi: per-op A-tile slice into ``a_rows`` / ``a_values``.
@@ -233,6 +244,12 @@ class ProgramArrays:
         op_a_addr / op_b_col_addr / op_b_data_addr / op_counter_addr:
             architectural operand addresses per op (Figure 7 register
             fields, already validated against the 22-bit limit).
+        plan_slot / plan_b_index: the numeric plan, one entry per partial
+            product in Gustavson row-major order — its output slot and its
+            B entry (see :class:`~repro.sparse.symbolic.NumericPlan`).
+            Structure only, so value rebinding shares it.  Pickling drops
+            the plan (it is most of an O(partial products) payload) and
+            :meth:`numeric_plan` rebuilds it on first use after a load.
     """
 
     opcode: Opcode
@@ -241,8 +258,10 @@ class ProgramArrays:
     out_indptr: np.ndarray
     out_indices: np.ndarray
     out_counts: np.ndarray
+    a_indptr: np.ndarray
     a_rows: np.ndarray
     a_values: np.ndarray
+    b_indptr: np.ndarray
     b_cols: np.ndarray
     b_values: np.ndarray
     op_k: np.ndarray
@@ -257,6 +276,8 @@ class ProgramArrays:
     op_b_col_addr: np.ndarray
     op_b_data_addr: np.ndarray
     op_counter_addr: np.ndarray
+    plan_slot: np.ndarray | None = None
+    plan_b_index: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Aggregates (no materialization)
@@ -303,11 +324,46 @@ class ProgramArrays:
         return np.diff(self.out_indptr)
 
     # ------------------------------------------------------------------
+    # Numeric phase inputs
+    # ------------------------------------------------------------------
+    def numeric_plan(self) -> NumericPlan:
+        """The compiled numeric plan, as the kernel layer takes it (views
+        of this payload's arrays, no copies).
+
+        A payload loaded from a pickle rebuilds its plan here once, from
+        the operand and output structure arrays.
+        """
+        if self.plan_slot is None or self.plan_b_index is None:
+            a_csr, b_csr = self.operands()
+            symbolic = SymbolicProduct(
+                shape=self.shape, indptr=self.out_indptr,
+                indices=self.out_indices, counts=self.out_counts,
+                total_partial_products=int(self.out_counts.sum()),
+                _flat=self._flat_keys())
+            plan = numeric_plan(a_csr.indptr, a_csr.indices, b_csr, symbolic)
+            self.plan_b_index = plan.b_index
+            self.plan_slot = plan.slot
+        return NumericPlan(shape=self.shape, indptr=self.out_indptr,
+                           indices=self.out_indices, slot=self.plan_slot,
+                           b_index=self.plan_b_index)
+
+    def operands(self) -> tuple[CSRMatrix, CSRMatrix]:
+        """Rebuild the CSR operands ``(A, B)`` the program was compiled
+        from."""
+        n_inner = self.a_indptr.size - 1
+        a_csc = CSCMatrix(self.a_indptr, self.a_rows, self.a_values,
+                          (self.shape[0], n_inner))
+        b_csr = CSRMatrix(self.b_indptr, self.b_cols, self.b_values,
+                          (n_inner, self.shape[1]))
+        return csc_to_csr(a_csc), b_csr
+
+    # ------------------------------------------------------------------
     # Slot lookup
     # ------------------------------------------------------------------
     def _flat_keys(self) -> np.ndarray:
-        """Ascending flattened output coordinates, cached per instance
-        (the lowering seeds this cache with the symbolic pass's array)."""
+        """Ascending flattened output coordinates, built on first use and
+        cached per instance (HACC expansion, verification and plan
+        rebuilds read it; warm analytic runs never do)."""
         cached = self.__dict__.get("_flat_cache")
         if cached is None:
             cached = (row_per_slot(self.out_indptr, self.shape[0])
@@ -378,6 +434,7 @@ class ProgramArrays:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_flat_cache", None)
+        state["plan_slot"] = state["plan_b_index"] = None
         return state
 
 
@@ -635,7 +692,8 @@ def rebind_b_values(program: Program, b_csr) -> Program:
     matrices share a structure.  The cached program is never mutated — the
     caller gets a fresh :class:`Program` wrapping a shallow
     :class:`ProgramArrays` copy whose ``b_values`` (the only value-bearing
-    B array) point at the new data.
+    B array) point at the new data.  Every structure array, the numeric
+    plan included, is shared with the cached program, not copied.
 
     Raises:
         ValueError: for legacy (non-columnar) programs or when ``b_csr``'s
@@ -649,6 +707,7 @@ def rebind_b_values(program: Program, b_csr) -> Program:
         raise ValueError(
             f"operand structure mismatch: program was compiled for "
             f"{arrays.b_values.size} B non-zeros, got {values.size}")
+    arrays.numeric_plan()  # built once on the cached program, then shared
     new_arrays = dataclasses.replace(arrays, b_values=values)
     flat_cache = arrays.__dict__.get("_flat_cache")
     if flat_cache is not None:

@@ -47,7 +47,10 @@ DEFAULT_DISK_CAPACITY_BYTES = 256 * 1024 * 1024
 #: v3: programs pickle as the columnar ``ProgramArrays`` payload (numpy
 #: buffers) instead of a materialized macro-op list — far smaller spills,
 #: and incompatible with the v2 object graph.
-CACHE_SCHEMA_VERSION = 3
+#: v4: ``ProgramArrays`` gains the operand pointers (``a_indptr`` /
+#: ``b_indptr``) and the numeric plan columns (``plan_slot`` /
+#: ``plan_b_index``; dropped when pickled, rebuilt from the pointers).
+CACHE_SCHEMA_VERSION = 4
 
 
 def matrix_fingerprint(matrix) -> str:

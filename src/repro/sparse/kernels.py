@@ -7,30 +7,37 @@ beyond a few hundred nodes.  This module adds a *kernel registry* that pairs
 every dataflow with two interchangeable implementations:
 
 * ``impl="python"`` — thin wrappers around the reference loops (unchanged);
-* ``impl="numpy"`` — vectorized versions built on ``np.repeat`` /
-  cumulative-offset expansion (the same block-expansion idea the Accel-GCN
-  style SpMM kernels use on GPUs), producing **identical op counts**
-  (``partial_products``, ``accumulations``, ``output_nnz``,
-  ``mmh_instructions``) and numerically equivalent output matrices
-  (same structure; values may differ by a few ulp where the merge
-  associates additions differently than a reference accumulator).
+* ``impl="numpy"`` — the numeric phase of a two-phase SpGEMM, producing
+  **identical op counts** (``partial_products``, ``accumulations``,
+  ``output_nnz``, ``mmh_instructions``), the same output structure, and
+  values that differ from the reference loops' at most by the rounding of
+  a different summation order.
 
 Every kernel has the canonical signature::
 
-    kernel(a_csr: CSRMatrix, b_csr: CSRMatrix, *, tile_rows: int = 4)
-        -> SpGEMMResult
+    kernel(a_csr: CSRMatrix, b_csr: CSRMatrix, *, tile_rows: int = 4,
+           plan: NumericPlan | None = None) -> SpGEMMResult
 
 Format conversions (CSR -> CSC where a dataflow wants column access) happen
-inside the kernel, so callers only ever hold CSR operands.
+inside the kernel, so callers only ever hold CSR operands.  The reference
+loops ignore ``plan``.
 
-The vectorized expansion works per shared inner index ``k``:  every non-zero
-``A[i, k]`` pairs with every non-zero ``B[k, j]``.  With ``na[k]`` and
-``nb[k]`` the per-``k`` operand counts, each A entry is repeated ``nb[k]``
-times and the matching B slice is gathered through a cumulative-offset index
-— no Python-level loop touches a partial product.  Because all four
-dataflows enumerate exactly the set ``{(i, k, j)}`` and merge duplicates by
-output coordinate, their op counts collapse to closed forms over ``na`` and
-``nb``; the reference loops are retained to prove those closed forms right.
+The numpy kernels split C = A @ B the way NeuraChip splits it between
+NeuraCore and NeuraMem.  The structure-only half is a
+:class:`~repro.sparse.symbolic.NumericPlan`: the output slot and B entry of
+every partial product, in Gustavson row-major order (see
+:func:`~repro.sparse.symbolic.numeric_plan`).  A compiled program carries
+its plan, so a warm run passes it in.  Without one, the kernel compiles it
+from the operands.  The numeric half is then one gather-multiply —
+``np.repeat`` of A's values by the B row lengths, times B's values
+gathered through the plan — and one ``np.bincount`` over the slots.
+``np.bincount`` adds each output's partial products one after another in
+plan order, which is ascending ``k``, starting from zero.  Every output is
+therefore summed the same way on every input, and no Python-level loop
+touches a partial product.  All four dataflows enumerate exactly the set
+``{(i, k, j)}``, so their op counts collapse to closed forms over the
+per-``k`` operand counts ``na`` and ``nb``; the reference loops are retained
+to prove those closed forms right.
 """
 
 from __future__ import annotations
@@ -49,8 +56,10 @@ from repro.sparse.spgemm import (
     spgemm_row_wise,
     spgemm_tiled_gustavson,
 )
+from repro.sparse.symbolic import NumericPlan, numeric_plan, symbolic_spgemm
 
-#: Canonical kernel signature: (A in CSR, B in CSR, tile_rows) -> SpGEMMResult.
+#: Canonical kernel signature: (A in CSR, B in CSR, tile_rows, plan)
+#: -> SpGEMMResult.
 KernelFn = Callable[..., SpGEMMResult]
 
 #: Kernel registry keyed by (dataflow, impl).
@@ -94,9 +103,16 @@ def get_kernel(dataflow: str, impl: str = "numpy") -> KernelFn:
 
 def spgemm(a_csr: CSRMatrix, b_csr: CSRMatrix,
            dataflow: str = "tiled_gustavson", impl: str = "numpy",
-           tile_rows: int = 4) -> SpGEMMResult:
-    """Run C = A @ B through the selected dataflow/implementation kernel."""
-    return get_kernel(dataflow, impl)(a_csr, b_csr, tile_rows=tile_rows)
+           tile_rows: int = 4, *,
+           plan: NumericPlan | None = None) -> SpGEMMResult:
+    """Run C = A @ B through the selected dataflow/implementation kernel.
+
+    ``plan`` is the product's compiled numeric plan (a program's
+    :meth:`~repro.compiler.program.ProgramArrays.numeric_plan`); the numpy
+    kernels compile one from the operands when it is omitted.
+    """
+    return get_kernel(dataflow, impl)(a_csr, b_csr, tile_rows=tile_rows,
+                                      plan=plan)
 
 
 # ----------------------------------------------------------------------
@@ -104,187 +120,44 @@ def spgemm(a_csr: CSRMatrix, b_csr: CSRMatrix,
 # ----------------------------------------------------------------------
 @register_kernel("inner", "python")
 def _inner_python(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                  tile_rows: int = 4) -> SpGEMMResult:
+                  tile_rows: int = 4,
+                  plan: NumericPlan | None = None) -> SpGEMMResult:
     return spgemm_inner_product(a_csr, csr_to_csc(b_csr))
 
 
 @register_kernel("outer", "python")
 def _outer_python(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                  tile_rows: int = 4) -> SpGEMMResult:
+                  tile_rows: int = 4,
+                  plan: NumericPlan | None = None) -> SpGEMMResult:
     return spgemm_outer_product(csr_to_csc(a_csr), b_csr)
 
 
 @register_kernel("row_wise", "python")
 def _row_wise_python(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                     tile_rows: int = 4) -> SpGEMMResult:
+                     tile_rows: int = 4,
+                     plan: NumericPlan | None = None) -> SpGEMMResult:
     return spgemm_row_wise(a_csr, b_csr)
 
 
 @register_kernel("tiled_gustavson", "python")
 def _tiled_python(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                  tile_rows: int = 4) -> SpGEMMResult:
+                  tile_rows: int = 4,
+                  plan: NumericPlan | None = None) -> SpGEMMResult:
     return spgemm_tiled_gustavson(csr_to_csc(a_csr), b_csr,
                                   tile_rows=tile_rows)
 
 
 # ----------------------------------------------------------------------
-# numpy impls: vectorized partial-product expansion.
+# numpy impls: the numeric phase of a compiled plan.
 # ----------------------------------------------------------------------
-def _expand_partial_products(a_csr: CSRMatrix, b_csr: CSRMatrix
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialise every partial product of C = A @ B without Python loops.
-
-    Walks A's entries in row-major (CSR) order; each entry ``A[i, k]``
-    pairs with the whole row ``k`` of B, gathered through a cumulative-
-    offset index.  Within one A row, entries are sorted by ``k``, so the
-    partial products of each output coordinate appear in ascending-``k``
-    order — the same order in which every reference loop accumulates
-    them, which keeps the floating-point sums equivalent to within
-    association error (a few ulp).
-
-    Returns ``(keys, vals, row_ptr)`` where ``keys[p] = i * n_cols + j`` is
-    the flattened output coordinate of partial product ``p`` and
-    ``row_ptr`` delimits each output row's contiguous run of partial
-    products (CSR-style, length ``n_rows + 1``).
-    """
-    nb = b_csr.row_nnz_counts()
-    n_cols = b_csr.shape[1]
-    # Row index and inner index of every A entry, in CSR order.
-    row_of_a = np.repeat(np.arange(a_csr.shape[0], dtype=np.int64),
-                         a_csr.row_nnz_counts())
-    k_of_a = a_csr.indices
-    # Each A entry generates one partial product per B entry of row k.
-    rep = nb[k_of_a]
-    total = int(rep.sum())
-    if total == 0:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
-                np.zeros(a_csr.shape[0] + 1, dtype=np.int64))
-    # Partial products of output row r occupy keys[row_ptr[r]:row_ptr[r+1]].
-    row_ptr = np.zeros(a_csr.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of_a, weights=rep,
-                          minlength=a_csr.shape[0]).astype(np.int64),
-              out=row_ptr[1:])
-    # Gather the B slice of row k for every A entry: slice start offset
-    # rebased by the cumulative repeat counts, plus a running position.
-    ends = np.cumsum(rep)
-    b_index = np.arange(total, dtype=np.int64)
-    b_index += np.repeat(b_csr.indptr[k_of_a] - ends + rep, rep)
-    keys = np.repeat(row_of_a * n_cols, rep)
-    keys += b_csr.indices[b_index]
-    vals = np.repeat(a_csr.data, rep)
-    vals *= b_csr.data[b_index]
-    return keys, vals, row_ptr
-
-
-#: Use the dense-bin merge when the flattened output space is at most this
-#: many times the partial-product count (bounds its transient memory to a
-#: small multiple of the expansion itself) ...
-_DENSE_MERGE_EXPANSION_LIMIT = 8
-#: ... or when the output space is outright small.
-_DENSE_MERGE_ABSOLUTE_LIMIT = 1 << 22
-#: Row-block size target for the dense merge: bins per block, sized to keep
-#: the per-block scatter arrays cache-resident.
-_DENSE_MERGE_BLOCK_BINS = 1 << 19
-
-
-def _merge_dense_blocked(keys: np.ndarray, vals: np.ndarray,
-                         row_ptr: np.ndarray,
-                         shape: tuple[int, int]) -> tuple[CSRMatrix, int]:
-    """Dense-bin merge: scatter partial products straight into row blocks.
-
-    Processes blocks of output rows (whose partial products are contiguous
-    in ``keys`` thanks to the row-major expansion) so each ``np.bincount``
-    scatter stays within a cache-resident bin array.  ``np.bincount`` adds
-    over its input in encounter (ascending-``k``) order per output element,
-    so the sums match the reference loops up to summation-association
-    error (a few ulp — the reference merge reduces with
-    ``np.add.reduceat``, which may associate additions differently).
-    """
-    n_rows, n_cols = shape
-    block_rows = max(1, min(n_rows, _DENSE_MERGE_BLOCK_BINS // max(1, n_cols)))
-    minor_parts: list[np.ndarray] = []
-    data_parts: list[np.ndarray] = []
-    counts_per_row = np.zeros(n_rows, dtype=np.int64)
-    for row0 in range(0, n_rows, block_rows):
-        row1 = min(row0 + block_rows, n_rows)
-        lo, hi = int(row_ptr[row0]), int(row_ptr[row1])
-        if lo == hi:
-            continue
-        block_keys = keys[lo:hi] - row0 * n_cols
-        bins = (row1 - row0) * n_cols
-        sums = np.bincount(block_keys, weights=vals[lo:hi], minlength=bins)
-        counts = np.bincount(block_keys, minlength=bins)
-        unique = np.flatnonzero(counts > 0)
-        data_parts.append(sums[unique])
-        local_major = unique // n_cols
-        counts_per_row[row0:row1] = np.bincount(local_major,
-                                                minlength=row1 - row0)
-        minor_parts.append(unique - local_major * n_cols)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts_per_row, out=indptr[1:])
-    indices = (np.concatenate(minor_parts) if minor_parts
-               else np.zeros(0, dtype=np.int64))
-    data = (np.concatenate(data_parts) if data_parts
-            else np.zeros(0, dtype=np.float64))
-    matrix = CSRMatrix(indptr, indices, data, shape)
-    return matrix, int(keys.size - indices.size)
-
-
-def _merge_sorted(keys: np.ndarray, vals: np.ndarray,
-                  shape: tuple[int, int]) -> tuple[CSRMatrix, int]:
-    """Sort-based merge: stable sort by coordinate + ``np.add.reduceat``.
-
-    Memory scales with the partial products only, so this is the fallback
-    when the flattened output space is too large for dense bins.  The
-    stable sort preserves encounter (ascending-``k``) order per output
-    coordinate, keeping the sums equivalent to the reference loops
-    (within a few ulp of association error).
-    """
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    vals_sorted = vals[order]
-    boundaries = np.empty(keys_sorted.size, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    summed = np.add.reduceat(vals_sorted, starts)
-    unique_keys = keys_sorted[starts]
-    major = unique_keys // shape[1]
-    minor = unique_keys - major * shape[1]
-    counts_per_row = np.bincount(major, minlength=shape[0])
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts_per_row, out=indptr[1:])
-    matrix = CSRMatrix(indptr, minor, summed, shape)
-    return matrix, int(keys.size - unique_keys.size)
-
-
-def _merge_partials(keys: np.ndarray, vals: np.ndarray,
-                    row_ptr: np.ndarray,
-                    shape: tuple[int, int]) -> tuple[CSRMatrix, int]:
-    """Merge flattened-coordinate partial products into CSR.
-
-    Picks the dense-bin strategy when the flattened output space is small
-    relative to the partial-product count, the sort strategy otherwise.
-    Both accumulate each output element's partial products in expansion
-    (ascending-``k``) order, so the floating-point sums agree with the
-    reference loops to within a few ulp (the reduction primitives may
-    associate additions differently).  Returns ``(matrix, accumulations)``
-    with the
-    accumulation count defined as in the reference loops: every partial
-    product beyond the first per output coordinate is one scalar addition.
-    """
-    if keys.size == 0:
-        return CSRMatrix.empty(shape), 0
-    flat_space = shape[0] * shape[1]
-    if (flat_space <= _DENSE_MERGE_EXPANSION_LIMIT * keys.size
-            or flat_space <= _DENSE_MERGE_ABSOLUTE_LIMIT):
-        return _merge_dense_blocked(keys, vals, row_ptr, shape)
-    return _merge_sorted(keys, vals, shape)
-
-
-def _merged(a_csr: CSRMatrix, b_csr: CSRMatrix
+def _merged(a_csr: CSRMatrix, b_csr: CSRMatrix, plan: NumericPlan | None
             ) -> tuple[CSRMatrix, int, int, np.ndarray, np.ndarray]:
-    """Shared numpy path: expand, merge, and count.
+    """Shared numpy path: run the numeric phase of ``plan`` and count.
+
+    Without a plan, one is compiled from the operands first.  The numeric
+    phase gathers and multiplies every partial product in plan order, then
+    sums each output with one ``np.bincount`` over the plan's slots —
+    sequentially, in ascending-``k`` order.
 
     Returns ``(matrix, partial_products, accumulations, na, nb)`` where
     ``na[k]`` / ``nb[k]`` are the per-inner-index operand counts the
@@ -293,20 +166,41 @@ def _merged(a_csr: CSRMatrix, b_csr: CSRMatrix
     product landing on an output coordinate is an insert, every later one
     is a scalar addition — exactly what the reference loops count with
     their per-key accumulators.
+
+    Raises:
+        ValueError: if ``plan`` was compiled for operands of another
+            shape or partial-product count.
     """
     _check_dims(a_csr.shape, b_csr.shape)
-    keys, vals, row_ptr = _expand_partial_products(a_csr, b_csr)
-    matrix, accumulations = _merge_partials(
-        keys, vals, row_ptr, (a_csr.shape[0], b_csr.shape[1]))
-    na = np.bincount(a_csr.indices, minlength=a_csr.shape[1])
+    if plan is None:
+        plan = numeric_plan(a_csr.indptr, a_csr.indices, b_csr,
+                            symbolic_spgemm(a_csr, b_csr))
     nb = b_csr.row_nnz_counts()
-    return matrix, int(keys.size), accumulations, na, nb
+    rep = nb[a_csr.indices]
+    pp = int(rep.sum())
+    if plan.shape != (a_csr.shape[0], b_csr.shape[1]) \
+            or plan.n_partial_products != pp:
+        raise ValueError(
+            f"numeric plan for a {plan.shape} product with "
+            f"{plan.n_partial_products} partial products does not match "
+            f"operands {a_csr.shape} @ {b_csr.shape} with {pp}")
+    if pp == 0:
+        matrix = CSRMatrix.empty(plan.shape)
+    else:
+        values = np.repeat(a_csr.data, rep)
+        values *= b_csr.data.take(plan.b_index)  # faster than [] on int32
+        matrix = CSRMatrix(plan.indptr.copy(), plan.indices,
+                           np.bincount(plan.slot, weights=values,
+                                       minlength=plan.nnz), plan.shape)
+    na = np.bincount(a_csr.indices, minlength=a_csr.shape[1])
+    return matrix, pp, pp - matrix.nnz, na, nb
 
 
 @register_kernel("inner", "numpy")
 def _inner_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                 tile_rows: int = 4) -> SpGEMMResult:
-    matrix, pp, acc, _na, _nb = _merged(a_csr, b_csr)
+                 tile_rows: int = 4,
+                 plan: NumericPlan | None = None) -> SpGEMMResult:
+    matrix, pp, acc, _na, _nb = _merged(a_csr, b_csr, plan)
     return SpGEMMResult(matrix=matrix, dataflow="inner",
                         partial_products=pp,
                         accumulations=max(acc, 0),
@@ -316,8 +210,9 @@ def _inner_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
 
 @register_kernel("outer", "numpy")
 def _outer_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                 tile_rows: int = 4) -> SpGEMMResult:
-    matrix, pp, acc, na, nb = _merged(a_csr, b_csr)
+                 tile_rows: int = 4,
+                 plan: NumericPlan | None = None) -> SpGEMMResult:
+    matrix, pp, acc, na, nb = _merged(a_csr, b_csr, plan)
     batches = int(np.count_nonzero((na > 0) & (nb > 0)))
     return SpGEMMResult(matrix=matrix, dataflow="outer",
                         partial_products=pp,
@@ -329,8 +224,9 @@ def _outer_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
 
 @register_kernel("row_wise", "numpy")
 def _row_wise_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                    tile_rows: int = 4) -> SpGEMMResult:
-    matrix, pp, acc, _na, _nb = _merged(a_csr, b_csr)
+                    tile_rows: int = 4,
+                 plan: NumericPlan | None = None) -> SpGEMMResult:
+    matrix, pp, acc, _na, _nb = _merged(a_csr, b_csr, plan)
     return SpGEMMResult(matrix=matrix, dataflow="row_wise",
                         partial_products=pp,
                         accumulations=acc,
@@ -340,10 +236,11 @@ def _row_wise_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
 
 @register_kernel("tiled_gustavson", "numpy")
 def _tiled_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                 tile_rows: int = 4) -> SpGEMMResult:
+                 tile_rows: int = 4,
+                 plan: NumericPlan | None = None) -> SpGEMMResult:
     if tile_rows < 1:
         raise ValueError("tile_rows must be >= 1")
-    matrix, pp, acc, na, nb = _merged(a_csr, b_csr)
+    matrix, pp, acc, na, nb = _merged(a_csr, b_csr, plan)
     # One MMH instruction per (A-tile, B-tile) pair of each inner index k.
     a_tiles = -(-na // tile_rows)
     b_tiles = -(-nb // tile_rows)

@@ -103,7 +103,9 @@ class TestCounterFaults:
 
     def test_swapped_counters_need_full_level(self, program):
         # Moving a contribution between slots keeps the total invariant;
-        # only the full partial-product scatter catches it.
+        # only the full partial-product scatter catches it in the counter
+        # check.  At quick level the numeric plan's per-slot histogram
+        # already disagrees with the moved counters.
         counts = program.arrays.out_counts.copy()
         assert counts.size >= 2
         counts[0] += 1
@@ -111,7 +113,7 @@ class TestCounterFaults:
         if counts[1] < 1:
             pytest.skip("needs a slot with >= 2 contributions")
         bad = mutate(program, out_counts=counts)
-        assert fired(bad, level="quick") == set()
+        assert fired(bad, level="quick") == {"plan-histogram"}
         assert fired(bad, level="full") == {"counter-histogram"}
 
 
@@ -148,6 +150,72 @@ class TestStructuralFaults:
         indices[0], indices[1] = indices[1], indices[0]
         assert fired(mutate(program, out_indices=indices)) \
             == {"output-structure"}
+
+
+class TestPlanFaults:
+    def test_corrupted_slot_quick(self, program):
+        slots = program.arrays.plan_slot.copy()
+        slots[0] = (slots[0] + 1) % program.arrays.output_nnz
+        bad = mutate(program, plan_slot=slots)
+        assert fired(bad, level="quick") == {"plan-histogram"}
+        assert fired(bad, level="full") == {"plan-histogram"}
+
+    def test_swapped_slots_need_full_level(self, program):
+        # Two partial products trade slots: every slot still receives as
+        # many contributions as its counter says, but each lands on the
+        # wrong output key.
+        slots = program.arrays.plan_slot.copy()
+        first = int(np.flatnonzero(slots != slots[0])[0])
+        slots[0], slots[first] = slots[first], slots[0]
+        bad = mutate(program, plan_slot=slots)
+        assert fired(bad, level="quick") == set()
+        findings = verify_program(bad, level="full")
+        assert {f.check for f in findings} == {"plan-keys"}
+        assert "partial product 0:" in findings[0].message
+
+    def test_out_of_range_b_index(self, program):
+        b_index = program.arrays.plan_b_index.copy()
+        b_index[5] = program.arrays.b_cols.size
+        findings = verify_program(mutate(program, plan_b_index=b_index),
+                                  level="quick")
+        assert {f.check for f in findings} == {"plan-range"}
+        assert "plan_b_index" in findings[0].message
+
+    def test_wrong_b_index_in_range_needs_full_level(self, program):
+        b_index = program.arrays.plan_b_index.copy()
+        b_index[0] = (b_index[0] + 1) % program.arrays.b_cols.size
+        bad = mutate(program, plan_b_index=b_index)
+        assert fired(bad, level="quick") == set()
+        assert fired(bad, level="full") == {"plan-keys"}
+
+    def test_truncated_plan(self, program):
+        bad = mutate(program, plan_slot=program.arrays.plan_slot[:-1])
+        findings = verify_program(bad, level="quick")
+        assert {f.check for f in findings} == {"plan-length"}
+        assert "plan_slot" in findings[0].message
+
+    def test_widened_plan_column(self, program):
+        wide = program.arrays.plan_slot.astype(np.int64)
+        assert fired(mutate(program, plan_slot=wide), level="quick") \
+            == {"column-dtype"}
+
+    def test_operand_pointer_off_by_one(self, program):
+        pointers = program.arrays.b_indptr.copy()
+        pointers[1:-1] += 1
+        pointers[-1] = program.arrays.b_cols.size
+        assert fired(mutate(program, b_indptr=pointers), level="quick") \
+            == {"operand-pointers"}
+
+    def test_plan_rebuilt_after_pickle_verifies(self, program):
+        import pickle
+
+        restored = pickle.loads(pickle.dumps(program))
+        assert restored.arrays.plan_slot is None
+        assert verify_program(restored, level="full") == []
+        np.testing.assert_array_equal(restored.arrays.plan_slot,
+                                      program.arrays.plan_slot)
+        np.testing.assert_array_equal(restored.arrays.plan_b_index,
+                                      program.arrays.plan_b_index)
 
 
 class TestErrorSurface:
