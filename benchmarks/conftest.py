@@ -5,8 +5,8 @@ printed as text tables and also written to ``benchmarks/results/`` as CSV/JSON
 so they can be inspected after the run (the NeuraViz replacement).
 
 The dataset scale is deliberately small (hundreds of nodes) so the pure-Python
-cycle simulator finishes each figure in seconds; EXPERIMENTS.md records how
-the scaled results compare to the paper's.
+cycle simulator finishes each figure in seconds; each benchmark's assertions
+state how far its scaled results must agree with the paper's.
 """
 
 from __future__ import annotations

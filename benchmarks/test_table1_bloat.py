@@ -64,7 +64,8 @@ def test_table1_memory_bloat(benchmark, bloat_rows, table1_datasets):
     # At paper scale the closed-form density/skew estimate singles out
     # facebook as by far the most bloat-prone workload, matching the paper's
     # outlier; full structural rank agreement is not expected at reduced scale
-    # (see EXPERIMENTS.md).
+    # (compare the measured and paper columns of
+    # benchmarks/results/table1_bloat.csv).
     estimates = {row["dataset"]: row["paper_scale_estimate_pct"]
                  for row in bloat_rows}
     assert estimates["facebook"] == max(estimates.values())

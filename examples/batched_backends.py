@@ -26,11 +26,11 @@ def main() -> None:
 
     # 2. Serve the whole batch through the analytic backend.
     with Session("Tile-16", backend="analytic", impl="numpy") as session:
-        batch = session.run(BatchSpec(specs=specs)).legacy
-        print(format_table(batch.as_rows()))
-        print(format_table([batch.summary()]))
-        print(f"compile cache: {batch.cache_hits}/{batch.n_jobs} jobs reused "
-              "a cached program\n")
+        batch = session.run(BatchSpec(specs=specs))
+        print(format_table([job.as_row() for job in batch.parts]))
+        print(format_table([batch.as_row()]))
+        print(f"compile cache: {batch.metrics['cache_hits']}/"
+              f"{batch.metrics['jobs']} jobs reused a cached program\n")
 
         # 3. Spot-check the prediction against the cycle-level model.
         dataset = load_dataset("wiki-Vote", max_nodes=96)

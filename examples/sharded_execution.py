@@ -42,14 +42,14 @@ def main() -> None:
     specs = [SpGEMMSpec(a=adjacency, label=f"req{i}", verify=False)
              for i in range(12)]
     with Session("Tile-16", backend="analytic", executor="serial") as serial:
-        serial_report = serial.run(BatchSpec(specs=specs)).legacy
+        serial_batch = serial.run(BatchSpec(specs=specs))
     with Session("Tile-16", backend="analytic", executor="thread",
                  workers=4) as threaded:
-        thread_report = threaded.run(BatchSpec(specs=specs)).legacy
+        thread_batch = threaded.run(BatchSpec(specs=specs))
     print("--- 12-job batch: serial vs thread executor ---")
-    print(format_table([serial_report.summary(), thread_report.summary()]))
-    same = (serial_report.total_partial_products
-            == thread_report.total_partial_products)
+    print(format_table(results_to_rows([serial_batch, thread_batch])))
+    same = (serial_batch.metrics["total_partial_products"]
+            == thread_batch.metrics["total_partial_products"])
     print(f"identical totals across executors: {same}\n")
 
     # --- 3. Persistent program cache across sessions -------------------

@@ -5,8 +5,9 @@ spatial GNN accelerator (Shivdikar et al., ISCA 2024) together with every
 substrate its evaluation depends on: sparse formats and SpGEMM dataflows,
 synthetic dataset generators, mapping algorithms, the NeuraCompiler, the
 NeuraSim cycle-level simulator, analytic baseline models, and the power/area
-model.  See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured comparison of every table and figure.
+model.  README.md describes the layers and the session API; the benchmarks
+under ``benchmarks/`` regenerate every table and figure into
+``benchmarks/results/``.
 """
 
 from repro.arch import (
@@ -25,22 +26,16 @@ from repro.backends import (
     register_backend,
 )
 from repro.core import (
-    BatchReport,
     BatchSpec,
     GCNLayerSpec,
-    GCNRunResult,
     GNNModelSpec,
     NeuraChip,
     Provenance,
     RunResult,
     Session,
-    SpGEMMRunResult,
     SpGEMMSpec,
     SweepSpec,
-    WorkloadJob,
-    WorkloadQueue,
     available_executors,
-    design_space_sweep,
     get_executor,
     register_executor,
 )
@@ -70,12 +65,6 @@ __all__ = [
     "get_executor",
     "available_executors",
     "NeuraChip",
-    "SpGEMMRunResult",
-    "GCNRunResult",
-    "design_space_sweep",
-    "WorkloadJob",
-    "WorkloadQueue",
-    "BatchReport",
     "register_backend",
     "get_backend",
     "available_backends",

@@ -1,8 +1,8 @@
 """Pluggable execution backends for the NeuraChip reproduction.
 
-Every entry point (the :class:`~repro.core.api.NeuraChip` facade, the CLI
-and the batch runner) executes compiled programs through a backend looked
-up by name in this package's registry:
+A :class:`~repro.core.session.Session` — and through it the CLI, the
+examples and the serving stack — executes compiled programs through a
+backend looked up by name in this package's registry:
 
 * ``functional`` — untimed hash-accumulate dataflow;
 * ``cycle``      — event-driven cycle-level NeuraSim model;

@@ -189,7 +189,8 @@ def calibrate_platforms(platforms: list[BaselinePlatform],
 
     This keeps the *average* platform throughput pinned to the paper while the
     per-workload spread is produced by the dataflow traffic model, which is
-    exactly the calibration described in DESIGN.md.
+    exactly the calibration described in the :mod:`repro.baselines`
+    package docstring.
     """
     if not workloads:
         return list(platforms)

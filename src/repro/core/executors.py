@@ -97,7 +97,7 @@ class Executor(ABC):
 
 @register_executor("serial")
 class SerialExecutor(Executor):
-    """Run every job inline in the calling thread (the legacy behaviour)."""
+    """Run every job inline in the calling thread (the default)."""
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         return [fn(item) for item in items]
@@ -150,9 +150,10 @@ class ThreadExecutor(_PooledExecutor):
 class ProcessExecutor(_PooledExecutor):
     """Fan jobs out over worker processes (true CPU parallelism).
 
-    The mapped function and every item must be picklable; in-memory caches
-    are per-worker, but a session's *disk* program cache is shared through
-    the filesystem.
+    The mapped function and every item must be picklable.  A session
+    running on this executor builds a fresh session for every task, so its
+    in-memory program cache starts empty each time; only the session's
+    *disk* program cache is shared, through the filesystem.
     """
 
     _pool_cls = ProcessPoolExecutor

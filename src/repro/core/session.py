@@ -1,9 +1,11 @@
 """The unified Session API: declarative specs in, RunResult envelopes out.
 
-A :class:`Session` owns everything the four legacy entry points used to
-wire up ad hoc: backend resolution, kernel-implementation selection, a
-pluggable executor (``serial`` / ``thread`` / ``process``, registered like
-backends), and a persistent LRU :class:`~repro.core.runner.ProgramCache`.
+A :class:`Session` is the one entry point for every workload.  It owns
+backend resolution, kernel-implementation selection, a pluggable executor
+(``serial`` / ``thread`` / ``process``, registered like backends), a
+persistent LRU :class:`~repro.core.runner.ProgramCache`, and the
+:class:`~repro.core.api.NeuraChip` whose configuration, compiler and power
+model every run uses.
 Workloads are described declaratively (:mod:`repro.core.specs`) and
 submitted through three verbs::
 
@@ -17,7 +19,8 @@ submitted through three verbs::
 
 Every execution returns a :class:`~repro.core.specs.RunResult` carrying
 metrics, activity factors, power/energy, and provenance (backend, impl,
-executor, cache hit, wall time, shard count).
+executor, cache hit, wall time, shard count).  A result reduced from
+sub-results (a sharded SpGEMM, a batch) lists them in ``parts``.
 
 Sharding: an :class:`~repro.core.specs.SpGEMMSpec` with ``shards > 1`` is
 split by the planner into balanced row-group jobs — rows of A partition the
@@ -51,12 +54,11 @@ from repro.arch.config import NeuraChipConfig, get_config
 from repro.backends import ChipTopology, get_backend
 from repro.compiler import compile_gcn_aggregation
 from repro.compiler.program import ProgramDigest
+from repro.core.api import NeuraChip, _as_csr
 from repro.core.executors import Executor, get_executor
 from repro.core.runner import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_DISK_CAPACITY_BYTES,
-    BatchReport,
-    JobOutcome,
     ProgramCache,
 )
 from repro.core.specs import (
@@ -91,9 +93,10 @@ from repro.sparse.partition import (  # noqa: F401  (re-exported API)
 # Process-executor workers (module level so they pickle)
 # ----------------------------------------------------------------------
 def _process_spec_worker(state: dict, spec: WorkloadSpec) -> RunResult:
-    """Run one spec in a worker process with a session rebuilt from
-    ``state``; the in-memory cache is per-worker but the disk cache (when
-    configured) is shared through the filesystem."""
+    """Run one spec in a worker process with a fresh session built from
+    ``state`` for this task alone, so its in-memory program cache starts
+    empty every time; only the disk cache (when configured) is shared,
+    through the filesystem."""
     session = Session(**state)
     try:
         # Slim the result so the reply doesn't serialise the full macro-op
@@ -104,30 +107,14 @@ def _process_spec_worker(state: dict, spec: WorkloadSpec) -> RunResult:
 
 
 def _sweep_config_worker(payload: dict) -> tuple[str, dict[str, float]]:
-    """Run one configuration of a design-space sweep and return its raw
-    Figure-11 metrics row.
-
-    Deliberately routes through ``NeuraChip.run_spgemm`` so callers that
-    patch or subclass the facade see the sweep's per-config runs.  The
-    multichip backend carries a topology the facade cannot express, so it
-    runs through a per-config session instead.
-    """
-    import warnings
-
-    from repro.core.api import NeuraChip
-
+    """Run one configuration of a design-space sweep through its own
+    session and return the raw Figure-11 metrics row."""
     chip = NeuraChip(payload["config"], eviction_mode=payload["eviction_mode"],
                      params=payload["params"])
-    if payload.get("topology") is not None:
-        with Session(chip, backend=payload["backend"],
-                     topology=payload["topology"]) as session:
-            result = session.run(SpGEMMSpec(a=payload["a"], b=payload["b"],
-                                            verify=False)).legacy
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = chip.run_spgemm(payload["a"], payload["b"], verify=False,
-                                     backend=payload["backend"])
+    with Session(chip, backend=payload["backend"],
+                 topology=payload["topology"]) as session:
+        result = session.run(SpGEMMSpec(a=payload["a"], b=payload["b"],
+                                        verify=False))
     report = result.report
     if report is None:
         raise ValueError(f"backend {payload['backend']!r} produces no timing "
@@ -196,8 +183,6 @@ class Session:
                  params: SimulationParams | None = None,
                  mapping_seed: int = 0,
                  verify: str | None = None) -> None:
-        from repro.core.api import NeuraChip
-
         if isinstance(chip_config, NeuraChip):
             self.chip = chip_config
         else:
@@ -344,15 +329,15 @@ class Session:
     # ------------------------------------------------------------------
     def _run_one(self, spec: WorkloadSpec) -> RunResult:
         if isinstance(spec, SpGEMMSpec):
-            return self._run_spgemm(spec)
+            return self._execute_spgemm(spec)
         if isinstance(spec, GCNLayerSpec):
-            return self._run_gcn_layer(spec)
+            return self._execute_gcn_layer(spec)
         if isinstance(spec, GNNModelSpec):
-            return self._run_gnn_model(spec)
+            return self._execute_gnn_model(spec)
         if isinstance(spec, SweepSpec):
-            return self._run_sweep(spec)
+            return self._execute_sweep(spec)
         if isinstance(spec, BatchSpec):
-            return self._run_batch(spec)
+            return self._execute_batch(spec)
         raise TypeError(f"unsupported spec type {type(spec)!r}")
 
     def _map_specs(self, specs: Sequence[WorkloadSpec]) -> list[RunResult]:
@@ -413,30 +398,29 @@ class Session:
         self.cache.put(key, program)
         return self._maybe_verify(key, program), False
 
-    def _run_spgemm(self, spec: SpGEMMSpec) -> RunResult:
-        from repro.core.api import SpGEMMRunResult, _as_csr
-
+    def _execute_spgemm(self, spec: SpGEMMSpec) -> RunResult:
         start = time.perf_counter()
         a_csr = _as_csr(spec.a)
         b_csr = _as_csr(spec.b) if spec.b is not None else None
         if self.backend == "multichip":
-            return self._run_multichip_spgemm(spec, a_csr, b_csr, start)
+            return self._execute_multichip_spgemm(spec, a_csr, b_csr, start)
         if spec.shards > 1:
-            return self._run_sharded_spgemm(spec, a_csr, b_csr, start)
+            return self._execute_sharded_spgemm(spec, a_csr, b_csr, start)
         tile = spec.tile_size or self.chip.config.mmh_tile_size
         program, cache_hit = self._compile_cached(a_csr, b_csr, tile,
                                                   spec.source)
-        legacy: SpGEMMRunResult = self.chip.run_program(
-            program, a=a_csr, b=b_csr if b_csr is not None else a_csr,
-            backend=self.backend, impl=self.impl, verify=spec.verify)
+        execution = get_backend(self.backend).execute(
+            program, self.chip._context(self.impl), a_csr=a_csr,
+            b_csr=b_csr if b_csr is not None else a_csr, verify=spec.verify)
+        power_w, energy_j = self.chip._estimate_power(execution.report)
         wall = time.perf_counter() - start
-        report = legacy.report
+        report = execution.report
         metrics = {
             "cycles": report.cycles if report is not None else 0.0,
             "gops": round(report.gops, 3) if report is not None else 0.0,
             "mmh": program.n_instructions,
             "partial_products": program.total_partial_products,
-            "output_nnz": legacy.output.nnz,
+            "output_nnz": execution.output.nnz,
             "verified": report.correct if report is not None else None,
         }
         activity = (self.chip._activity_from_report(report)
@@ -445,12 +429,12 @@ class Session:
             kind="spgemm", label=spec.label, metrics=metrics,
             activity=activity,
             provenance=self._provenance(cache_hit=cache_hit, wall=wall),
-            output=legacy.output, report=report, program=program,
-            power_w=legacy.power_w, energy_j=legacy.energy_j, legacy=legacy)
+            output=execution.output, report=report, program=program,
+            power_w=power_w, energy_j=energy_j)
 
-    def _run_sharded_spgemm(self, spec: SpGEMMSpec, a_csr: CSRMatrix,
-                            b_csr: CSRMatrix | None,
-                            start: float) -> RunResult:
+    def _execute_sharded_spgemm(self, spec: SpGEMMSpec, a_csr: CSRMatrix,
+                                b_csr: CSRMatrix | None,
+                                start: float) -> RunResult:
         """Split C = A @ B into row-group shards, fan them out over the
         executor, and reduce into one result.
 
@@ -464,15 +448,13 @@ class Session:
         plans (index-set shards plus monster-row column fragments) with
         the fragment-aware :func:`~repro.sparse.partition.stitch_shard_outputs`
         — both byte-identical to the unsharded product."""
-        from repro.core.api import SpGEMMRunResult
-
         effective_b = b_csr if b_csr is not None else a_csr
         plan = plan_shards(a_csr, spec.shards, effective_b,
                            strategy=self.partition)
         if plan.n_shards == 1:
             # Degenerate plan (single row, empty matrix, one unit of work):
             # run unsharded instead of compiling a one-shard copy.
-            return self._run_spgemm(_replace_spec(spec, shards=1))
+            return self._execute_spgemm(_replace_spec(spec, shards=1))
         if plan.ranges is not None:
             shard_specs = [
                 SpGEMMSpec(a=a_csr.row_slice(lo, hi), b=effective_b,
@@ -481,8 +463,8 @@ class Session:
                            label=f"{spec.label}/shard{index}")
                 for index, (lo, hi) in enumerate(plan.ranges)
             ]
-            shard_results = self._map_specs(shard_specs)
-            output = csr_vstack([result.output for result in shard_results])
+            parts = self._map_specs(shard_specs)
+            output = csr_vstack([result.output for result in parts])
         else:
             unit_specs, regroup = [], []
             for index, units in enumerate(
@@ -502,9 +484,9 @@ class Session:
                         a=unit.a, b=unit.b, tile_size=spec.tile_size,
                         verify=spec.verify, source=source, label=label))
                     regroup.append((index, unit.fragment is None))
-            shard_results = self._map_specs(unit_specs)
+            parts = self._map_specs(unit_specs)
             grouped: list[tuple] = [(None, []) for _ in plan.shards]
-            for (index, is_rows), result in zip(regroup, shard_results):
+            for (index, is_rows), result in zip(regroup, parts):
                 rows_out, frag_outs = grouped[index]
                 if is_rows:
                     grouped[index] = (result.output, frag_outs)
@@ -513,40 +495,36 @@ class Session:
             output = stitch_shard_outputs(plan, grouped,
                                           effective_b.shape[1])
         wall = time.perf_counter() - start
-        verified = [result.metrics.get("verified") for result in shard_results]
-        powers = [result.power_w for result in shard_results
+        verified = [result.metrics.get("verified") for result in parts]
+        powers = [result.power_w for result in parts
                   if result.power_w > 0]
         metrics = {
-            "cycles": sum(r.metrics["cycles"] for r in shard_results),
-            "gops": round(sum(r.metrics["gops"] for r in shard_results), 3),
-            "mmh": sum(r.metrics["mmh"] for r in shard_results),
+            "cycles": sum(r.metrics["cycles"] for r in parts),
+            "gops": round(sum(r.metrics["gops"] for r in parts), 3),
+            "mmh": sum(r.metrics["mmh"] for r in parts),
             "partial_products": sum(r.metrics["partial_products"]
-                                    for r in shard_results),
+                                    for r in parts),
             "output_nnz": output.nnz,
             "verified": (None if any(v is None for v in verified)
                          else all(verified)),
         }
         provenance = self._provenance(
-            cache_hit=all(r.cache_hit for r in shard_results), wall=wall)
+            cache_hit=all(r.cache_hit for r in parts), wall=wall)
         provenance.shards = plan.n_shards
         power_w = max(powers) if powers else 0.0
-        energy_j = sum(r.energy_j for r in shard_results)
+        energy_j = sum(r.energy_j for r in parts)
         # No single compiled program backs a sharded run; a count digest
-        # stands in so report rows and legacy consumers keep working.
+        # stands in so report rows keep working.
         digest = ProgramDigest(
             n_instructions=metrics["mmh"],
             total_partial_products=metrics["partial_products"],
             output_nnz=output.nnz, shape=output.shape,
             tile_size=spec.tile_size or self.chip.config.mmh_tile_size,
             a_nnz=a_csr.nnz, b_nnz=effective_b.nnz, source=spec.source)
-        legacy = SpGEMMRunResult(program=digest, report=None, functional=None,
-                                 output=output, power_w=power_w,
-                                 energy_j=energy_j, backend=self.backend)
         return RunResult(
             kind="spgemm", label=spec.label, metrics=metrics,
             provenance=provenance, output=output, program=digest,
-            power_w=power_w, energy_j=energy_j, legacy=legacy,
-            shard_results=shard_results)
+            power_w=power_w, energy_j=energy_j, parts=parts)
 
     def _multichip_backend(self):
         """A configured :class:`~repro.backends.multichip.MultiChipBackend`:
@@ -577,9 +555,9 @@ class Session:
             tile_size=tile, a_nnz=a_nnz, b_nnz=b_nnz, source=source)
         return power_w, energy_j, digest
 
-    def _run_multichip_spgemm(self, spec: SpGEMMSpec, a_csr: CSRMatrix,
-                              b_csr: CSRMatrix | None,
-                              start: float) -> RunResult:
+    def _execute_multichip_spgemm(self, spec: SpGEMMSpec, a_csr: CSRMatrix,
+                                  b_csr: CSRMatrix | None,
+                                  start: float) -> RunResult:
         """Assign row shards to N chip instances and reduce (tentpole path).
 
         Each chip compiles and executes its own shard program on its own
@@ -587,8 +565,6 @@ class Session:
         is identical to the single-chip unsharded product.  Aggregate
         cycles are ``max over chips + host reduce term``; power and energy
         are summed across chips."""
-        from repro.core.api import SpGEMMRunResult
-
         if spec.shards > 1:
             raise ValueError(
                 "the multichip backend assigns row shards to chips itself; "
@@ -621,17 +597,13 @@ class Session:
         provenance = self._provenance(cache_hit=execution.cache_hit,
                                       wall=wall)
         provenance.chips = execution.n_chips
-        legacy = SpGEMMRunResult(program=digest, report=report,
-                                 functional=None, output=execution.output,
-                                 power_w=power_w, energy_j=energy_j,
-                                 backend=self.backend)
         activity = (self.chip._activity_from_report(report)
                     if report is not None else {})
         return RunResult(
             kind="spgemm", label=spec.label, metrics=metrics,
             activity=activity, provenance=provenance,
             output=execution.output, report=report, program=digest,
-            power_w=power_w, energy_j=energy_j, legacy=legacy)
+            power_w=power_w, energy_j=energy_j)
 
     # ------------------------------------------------------------------
     # GCN layer
@@ -639,7 +611,7 @@ class Session:
     def _gcn_workload(self, spec: GCNLayerSpec, dataset):
         """Build the layer workload for a :class:`GCNLayerSpec`.
 
-        Without explicit ``features`` this is the legacy synthetic-feature
+        Without explicit ``features`` this is the synthetic-feature
         workload.  With ``features`` (a chained layer fed its predecessor's
         output) the input flows through the same dense full-structure CSR
         encoding the :class:`GNNModelSpec` pipeline uses, so a
@@ -672,8 +644,7 @@ class Session:
                            a_hat=normalize_adjacency_cached(dataset.adjacency),
                            features=full_structure_csr(dense), layer=layer)
 
-    def _run_gcn_layer(self, spec: GCNLayerSpec) -> RunResult:
-        from repro.core.api import GCNRunResult, SpGEMMRunResult
+    def _execute_gcn_layer(self, spec: GCNLayerSpec) -> RunResult:
         from repro.datasets.suite import DatasetSpec, GraphDataset
 
         start = time.perf_counter()
@@ -718,21 +689,11 @@ class Session:
         combined = workload.layer.combination(execution.to_dense())
         combination_cycles = self.chip._combination_cycles(workload)
         aggregation_cycles = report.cycles if report is not None else 0.0
-        aggregation = SpGEMMRunResult(
-            program=program, report=report, functional=execution.functional,
-            output=execution.output, power_w=power_w, energy_j=energy_j,
-            backend=execution.backend)
-        legacy = GCNRunResult(
-            aggregation=aggregation, combination_cycles=combination_cycles,
-            total_cycles=aggregation_cycles + combination_cycles,
-            output=combined, workload=workload,
-            metadata={"feature_dim": workload.layer.in_dim,
-                      "hidden_dim": spec.hidden_dim})
         wall = time.perf_counter() - start
         metrics = {
             "aggregation_cycles": aggregation_cycles,
             "combination_cycles": round(combination_cycles, 1),
-            "total_cycles": round(legacy.total_cycles, 1),
+            "total_cycles": round(aggregation_cycles + combination_cycles, 1),
             "output_shape": str(combined.shape),
             "verified": report.correct if report is not None else None,
         }
@@ -744,12 +705,12 @@ class Session:
             kind="gcn_layer", label=spec.label, metrics=metrics,
             activity=activity, provenance=provenance,
             output=combined, report=report, program=program,
-            power_w=power_w, energy_j=energy_j, legacy=legacy)
+            power_w=power_w, energy_j=energy_j)
 
     # ------------------------------------------------------------------
     # GNN model stack
     # ------------------------------------------------------------------
-    def _run_gnn_model(self, spec: GNNModelSpec) -> RunResult:
+    def _execute_gnn_model(self, spec: GNNModelSpec) -> RunResult:
         """Execute a whole layer stack over one resident graph: normalise
         once, compile the aggregation program once, re-bind feature values
         per layer, pipeline batches across the fleet.  The heavy lifting
@@ -761,7 +722,7 @@ class Session:
     # ------------------------------------------------------------------
     # Design-space sweep
     # ------------------------------------------------------------------
-    def _run_sweep(self, spec: SweepSpec) -> RunResult:
+    def _execute_sweep(self, spec: SweepSpec) -> RunResult:
         start = time.perf_counter()
         get_backend(self.backend)
         if self.backend == "functional":
@@ -780,7 +741,7 @@ class Session:
             kind="sweep", label=spec.label,
             metrics={"configs": len(table)},
             provenance=self._provenance(cache_hit=False, wall=wall),
-            legacy=table)
+            output=table)
 
     @staticmethod
     def _normalize_sweep(raw: dict, spec: SweepSpec) -> dict:
@@ -803,26 +764,27 @@ class Session:
     # ------------------------------------------------------------------
     # Batch
     # ------------------------------------------------------------------
-    def _run_batch(self, spec: BatchSpec) -> RunResult:
+    def _execute_batch(self, spec: BatchSpec) -> RunResult:
         start = time.perf_counter()
-        results = self._map_specs(spec.specs)
-        outcomes = [JobOutcome(label=result.label, result=result.legacy,
-                               cache_hit=result.cache_hit,
-                               wall_time_s=result.wall_time_s)
-                    for result in results]
+        parts = self._map_specs(spec.specs)
         wall = time.perf_counter() - start
-        legacy = BatchReport(outcomes=outcomes, backend=self.backend,
-                             executor=self.executor.name,
-                             cache_hits=sum(o.cache_hit for o in outcomes),
-                             wall_time_s=wall)
+        energy_j = sum(part.energy_j for part in parts)
+        metrics = {
+            "jobs": len(parts),
+            "total_cycles": sum(part.metrics["cycles"] for part in parts),
+            "total_partial_products": sum(part.metrics["partial_products"]
+                                          for part in parts),
+            "total_energy_j": round(energy_j, 9),
+            "cache_hits": sum(part.cache_hit for part in parts),
+        }
         provenance = self._provenance(
-            cache_hit=bool(outcomes) and all(o.cache_hit for o in outcomes),
+            cache_hit=bool(parts) and all(part.cache_hit for part in parts),
             wall=wall)
         return RunResult(
-            kind="batch", label=spec.label, metrics=legacy.summary(),
-            provenance=provenance, legacy=legacy,
-            power_w=max((o.result.power_w for o in outcomes), default=0.0),
-            energy_j=legacy.total_energy_j)
+            kind="batch", label=spec.label, metrics=metrics,
+            provenance=provenance,
+            power_w=max((part.power_w for part in parts), default=0.0),
+            energy_j=energy_j, parts=parts)
 
     # ------------------------------------------------------------------
     def _provenance(self, cache_hit: bool, wall: float) -> Provenance:

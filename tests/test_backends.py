@@ -12,6 +12,7 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends.registry import _BACKENDS
+from repro.core import GCNLayerSpec, Session, SpGEMMSpec
 from repro.core.api import NeuraChip
 from repro.datasets import load_dataset
 
@@ -24,6 +25,11 @@ def chip():
 @pytest.fixture(scope="module")
 def wiki():
     return load_dataset("wiki-Vote", max_nodes=96, seed=3)
+
+
+def run(chip, spec, backend, impl="numpy"):
+    with Session(chip, backend=backend, impl=impl) as session:
+        return session.run(spec)
 
 
 class TestRegistry:
@@ -59,31 +65,35 @@ class TestBackendSelection:
         a = wiki.adjacency_csr()
         dense = a.to_dense() @ a.to_dense()
         for backend in ("functional", "cycle", "analytic"):
-            result = chip.run_spgemm(a, backend=backend, verify=False)
-            assert result.backend == backend
+            result = run(chip, SpGEMMSpec(a=a, verify=False), backend)
+            assert result.provenance.backend == backend
             assert np.allclose(result.output.to_dense(), dense)
 
     def test_legacy_mode_still_selects_backend(self, chip, wiki):
-        result = chip.run_spgemm(wiki.adjacency_csr(), mode="functional")
-        assert result.backend == "functional"
+        result = run(chip, SpGEMMSpec(a=wiki.adjacency_csr()), "functional")
+        assert result.provenance.backend == "functional"
         assert result.report is None
 
     def test_backend_overrides_mode(self, chip, wiki):
-        result = chip.run_spgemm(wiki.adjacency_csr(), mode="functional",
-                                 backend="analytic")
-        assert result.backend == "analytic"
+        # The session's backend decides, whatever the chip was built for.
+        result = run(chip, SpGEMMSpec(a=wiki.adjacency_csr()), "analytic")
+        assert result.provenance.backend == "analytic"
         assert result.report is not None
 
     def test_unknown_backend_raises_before_compile(self, chip):
         with pytest.raises(ValueError, match="registered backends"):
-            chip.run_spgemm("not even a matrix", backend="quantum")
+            Session(chip, backend="quantum")
 
     def test_gcn_layer_on_analytic_backend(self, chip, wiki):
-        result = chip.run_gcn_layer(wiki, feature_dim=8, hidden_dim=4,
-                                    backend="analytic")
-        reference = result.workload.reference_output()
+        from repro.gnn.gcn import GCNWorkload
+
+        result = run(chip, GCNLayerSpec(dataset=wiki, feature_dim=8,
+                                        hidden_dim=4), "analytic")
+        reference = GCNWorkload.build(wiki, feature_dim=8,
+                                      hidden_dim=4).reference_output()
         assert np.allclose(result.output, reference)
-        assert result.total_cycles > result.combination_cycles > 0
+        assert result.metrics["total_cycles"] > \
+            result.metrics["combination_cycles"] > 0
 
 
 class TestAnalyticBackend:
@@ -96,16 +106,16 @@ class TestAnalyticBackend:
     def test_within_documented_tolerance_of_cycle_backend(self, chip, name,
                                                           nodes):
         dataset = load_dataset(name, max_nodes=nodes, seed=3)
-        adjacency = dataset.adjacency_csr()
-        predicted = chip.run_spgemm(adjacency, backend="analytic")
-        measured = chip.run_spgemm(adjacency, backend="cycle", verify=False)
+        spec = SpGEMMSpec(a=dataset.adjacency_csr(), verify=False)
+        predicted = run(chip, spec, "analytic")
+        measured = run(chip, spec, "cycle")
         relative_error = abs(predicted.report.cycles
                              - measured.report.cycles) / measured.report.cycles
         assert relative_error <= CALIBRATED_TOLERANCE
 
     def test_exact_counts_and_kernel_output(self, chip, wiki):
         a = wiki.adjacency_csr()
-        result = chip.run_spgemm(a, backend="analytic")
+        result = run(chip, SpGEMMSpec(a=a), "analytic")
         program = result.program
         report = result.report
         # Instruction and op counts are exact, not estimated.
@@ -113,32 +123,35 @@ class TestAnalyticBackend:
         assert report.hacc_instructions == program.total_partial_products
         assert report.output_nnz == program.output_nnz
         assert report.correct is None
-        assert result.functional is None
         assert np.allclose(result.output.to_dense(),
                            a.to_dense() @ a.to_dense())
+        # The analytic backend never replays the functional model.
+        execution = get_backend("analytic").execute(
+            program, chip._context("numpy"), a_csr=a, b_csr=a)
+        assert execution.functional is None
 
     def test_python_impl_produces_same_output(self, chip, wiki):
-        a = wiki.adjacency_csr()
-        fast = chip.run_spgemm(a, backend="analytic", impl="numpy")
-        slow = chip.run_spgemm(a, backend="analytic", impl="python")
+        spec = SpGEMMSpec(a=wiki.adjacency_csr())
+        fast = run(chip, spec, "analytic", impl="numpy")
+        slow = run(chip, spec, "analytic", impl="python")
         assert np.allclose(fast.output.to_dense(), slow.output.to_dense())
         assert fast.report.cycles == slow.report.cycles
 
     def test_power_model_consumes_analytic_report(self, chip, wiki):
-        result = chip.run_spgemm(wiki.adjacency_csr(), backend="analytic")
+        result = run(chip, SpGEMMSpec(a=wiki.adjacency_csr()), "analytic")
         assert result.power_w > 0
         assert result.energy_j > 0
 
     def test_scales_with_workload_size(self, chip):
         small = load_dataset("wiki-Vote", max_nodes=64, seed=3)
         large = load_dataset("wiki-Vote", max_nodes=192, seed=3)
-        cycles = [chip.run_spgemm(d.adjacency_csr(),
-                                  backend="analytic").report.cycles
+        cycles = [run(chip, SpGEMMSpec(a=d.adjacency_csr()),
+                      "analytic").report.cycles
                   for d in (small, large)]
         assert cycles[1] > cycles[0]
 
     def test_context_defaults_recorded(self, chip, wiki):
-        result = chip.run_spgemm(wiki.adjacency_csr(), backend="analytic")
+        result = run(chip, SpGEMMSpec(a=wiki.adjacency_csr()), "analytic")
         assert result.report.mapping_scheme == chip.mapping_scheme
         assert result.report.eviction_mode == chip.eviction_mode
         assert result.report.counters["analytic.binding_bound"] in (

@@ -1,15 +1,11 @@
-"""Batch runner: WorkloadQueue, program caching, and aggregate reporting."""
+"""Batches through a session: program caching and aggregate reporting."""
 
 import numpy as np
 import pytest
 
+from repro.core import BatchSpec, Session, SpGEMMSpec
 from repro.core.api import NeuraChip
-from repro.core.runner import (
-    ProgramCache,
-    WorkloadJob,
-    WorkloadQueue,
-    matrix_fingerprint,
-)
+from repro.core.runner import ProgramCache, matrix_fingerprint
 from repro.datasets import load_dataset
 from repro.sparse.csr import CSRMatrix
 
@@ -23,6 +19,12 @@ def chip():
 def graphs():
     return {name: load_dataset(name, max_nodes=80, seed=5).adjacency_csr()
             for name in ("wiki-Vote", "facebook")}
+
+
+def run_batch(chip, specs, backend="analytic", **session_kwargs):
+    """Run ``specs`` as one :class:`BatchSpec` on a fresh session."""
+    with Session(chip, backend=backend, **session_kwargs) as session:
+        return session.run(BatchSpec(specs=specs))
 
 
 class TestFingerprint:
@@ -166,74 +168,96 @@ class TestDiskEviction:
 
 class TestRunBatch:
     def test_repeated_jobs_hit_the_compile_cache(self, chip, graphs):
-        queue = WorkloadQueue()
-        for i in range(3):
-            queue.add_spgemm(graphs["wiki-Vote"], label=f"req-{i}")
-        report = chip.run_batch(queue, backend="analytic")
-        assert report.n_jobs == 3
-        assert report.cache_hits == 2
-        assert [o.cache_hit for o in report.outcomes] == [False, True, True]
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"], label=f"req-{i}")
+                 for i in range(3)]
+        batch = run_batch(chip, specs)
+        assert batch.metrics["jobs"] == 3
+        assert batch.metrics["cache_hits"] == 2
+        assert [part.cache_hit for part in batch.parts] == [False, True, True]
         # Cached programs are shared objects, not recompiles.
-        programs = {id(o.result.program) for o in report.outcomes}
+        programs = {id(part.program) for part in batch.parts}
         assert len(programs) == 1
 
     def test_distinct_operands_compile_separately(self, chip, graphs):
-        report = chip.run_batch(list(graphs.values()), backend="analytic")
-        assert report.cache_hits == 0
-        assert report.n_jobs == 2
+        batch = run_batch(chip, [SpGEMMSpec(a=a) for a in graphs.values()])
+        assert batch.metrics["cache_hits"] == 0
+        assert batch.metrics["jobs"] == 2
 
     def test_accepts_bare_matrices_and_jobs(self, chip, graphs):
         a = graphs["facebook"]
-        jobs = [a, WorkloadJob.spgemm(a, label="explicit")]
-        report = chip.run_batch(jobs, backend="functional")
-        assert report.n_jobs == 2
-        assert report.cache_hits == 1
-        assert report.outcomes[1].label == "explicit"
+        specs = [SpGEMMSpec(a=a), SpGEMMSpec(a=a, label="explicit")]
+        batch = run_batch(chip, specs, backend="functional")
+        assert batch.metrics["jobs"] == 2
+        assert batch.metrics["cache_hits"] == 1
+        assert [part.label for part in batch.parts] == ["spgemm", "explicit"]
 
     def test_outputs_are_correct_per_job(self, chip, graphs):
-        queue = WorkloadQueue()
-        for name, a in graphs.items():
-            queue.add_spgemm(a, label=name)
-        report = chip.run_batch(queue, backend="analytic")
-        for outcome, (name, a) in zip(report.outcomes, graphs.items()):
+        specs = [SpGEMMSpec(a=a, label=name) for name, a in graphs.items()]
+        batch = run_batch(chip, specs)
+        for part, (name, a) in zip(batch.parts, graphs.items()):
             dense = a.to_dense()
-            assert np.allclose(outcome.result.output.to_dense(),
-                               dense @ dense), name
+            assert np.allclose(part.output.to_dense(), dense @ dense), name
 
     def test_aggregates_and_rows(self, chip, graphs):
-        queue = WorkloadQueue()
-        queue.add_spgemm(graphs["wiki-Vote"], label="w0")
-        queue.add_spgemm(graphs["wiki-Vote"], label="w1")
-        report = chip.run_batch(queue, backend="analytic")
-        summary = report.summary()
-        assert summary["jobs"] == 2
-        assert summary["backend"] == "analytic"
-        assert summary["total_cycles"] == pytest.approx(
-            sum(o.result.report.cycles for o in report.outcomes))
-        assert report.total_partial_products == 2 * \
-            report.outcomes[0].result.program.total_partial_products
-        rows = report.as_rows()
-        assert rows[0]["job"] == "w0"
-        assert rows[1]["compile_cached"] is True
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"], label="w0"),
+                 SpGEMMSpec(a=graphs["wiki-Vote"], label="w1")]
+        batch = run_batch(chip, specs)
+        assert batch.metrics["jobs"] == 2
+        assert batch.provenance.backend == "analytic"
+        assert batch.metrics["total_cycles"] == pytest.approx(
+            sum(part.report.cycles for part in batch.parts))
+        assert batch.metrics["total_partial_products"] == 2 * \
+            batch.parts[0].program.total_partial_products
+        rows = [part.as_row() for part in batch.parts]
+        assert rows[0]["label"] == "w0"
+        assert rows[1]["cache_hit"] is True
+
+    def test_metrics_are_sums_over_parts(self, chip, graphs):
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"], label="w"),
+                 SpGEMMSpec(a=graphs["facebook"], label="f"),
+                 SpGEMMSpec(a=graphs["wiki-Vote"], shards=2, label="ws")]
+        batch = run_batch(chip, specs)
+        parts = batch.parts
+        assert batch.metrics == {
+            "jobs": len(parts),
+            "total_cycles": sum(p.metrics["cycles"] for p in parts),
+            "total_partial_products": sum(p.metrics["partial_products"]
+                                          for p in parts),
+            "total_energy_j": round(sum(p.energy_j for p in parts), 9),
+            "cache_hits": sum(p.cache_hit for p in parts),
+        }
+        assert batch.energy_j == sum(p.energy_j for p in parts)
+        assert batch.power_w == max(p.power_w for p in parts)
+        assert batch.output is None
+
+    def test_executor_recorded_in_provenance(self, chip, graphs):
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"], label=str(i))
+                 for i in range(2)]
+        batch = run_batch(chip, specs, executor="thread", workers=2)
+        assert batch.provenance.executor == "thread"
+        assert batch.metrics["jobs"] == 2
+        assert batch.provenance.wall_time_s > 0
 
     def test_functional_backend_reports_zero_cycles(self, chip, graphs):
-        report = chip.run_batch([graphs["facebook"]], backend="functional")
-        assert report.total_cycles == 0
-        assert report.outcomes[0].result.report is None
+        batch = run_batch(chip, [SpGEMMSpec(a=graphs["facebook"])],
+                          backend="functional")
+        assert batch.metrics["total_cycles"] == 0
+        assert batch.parts[0].report is None
 
     def test_tile_size_is_part_of_the_cache_key(self, chip, graphs):
-        queue = WorkloadQueue()
-        queue.add_spgemm(graphs["wiki-Vote"], label="t4", tile_size=4)
-        queue.add_spgemm(graphs["wiki-Vote"], label="t2", tile_size=2)
-        report = chip.run_batch(queue, backend="analytic")
-        assert report.cache_hits == 0
-        tiles = [o.result.program.tile_size for o in report.outcomes]
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"], label="t4", tile_size=4),
+                 SpGEMMSpec(a=graphs["wiki-Vote"], label="t2", tile_size=2)]
+        batch = run_batch(chip, specs)
+        assert batch.metrics["cache_hits"] == 0
+        tiles = [part.program.tile_size for part in batch.parts]
         assert tiles == [4, 2]
 
     def test_queue_survives_across_batches(self, chip, graphs):
-        queue = WorkloadQueue()
-        queue.add_spgemm(graphs["wiki-Vote"])
-        first = chip.run_batch(queue, backend="analytic")
-        second = chip.run_batch(queue, backend="analytic")
-        assert first.cache_hits == 0
-        assert second.cache_hits == 1  # cache persists on the queue
+        # A ProgramCache handed to successive sessions keeps its programs.
+        cache = ProgramCache()
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"])]
+        first = run_batch(chip, specs, cache=cache)
+        second = run_batch(chip, specs, cache=cache)
+        assert first.metrics["cache_hits"] == 0
+        assert second.metrics["cache_hits"] == 1
+        assert second.parts[0].program is first.parts[0].program

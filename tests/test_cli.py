@@ -134,7 +134,7 @@ class TestCommands:
                      "--backend", "analytic"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "compile_cache_hits" in out
+        assert "cache_hits" in out
         assert "wiki-Vote#2" in out
 
     def test_batch_with_output_dir(self, tmp_path, capsys):
@@ -199,6 +199,63 @@ class TestSessionIntegration:
         out = capsys.readouterr().out
         assert "shards" in out
         assert "partial_products" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--dataset", "wiki-Vote", "--max-nodes", "64"],
+        ["gcn", "--dataset", "cora", "--max-nodes", "64", "--config",
+         "Tile-4", "--feature-dim", "8", "--hidden-dim", "4"],
+        ["batch", "--datasets", "wiki-Vote", "cora", "--max-nodes", "64",
+         "--config", "Tile-4"],
+    ], ids=["sweep", "gcn", "batch"])
+    def test_analytic_subcommands_exit_zero(self, argv, capsys):
+        assert main(argv + ["--backend", "analytic"]) == 0
+        assert capsys.readouterr().out.strip()
+
+    def test_sweep_prints_the_sweep_result_output(self, capsys):
+        from repro.arch.config import all_spgemm_configs
+        from repro.core import Session, SweepSpec
+        from repro.datasets import load_dataset
+        from repro.viz.export import format_table
+
+        assert main(["sweep", "--dataset", "wiki-Vote", "--max-nodes", "64",
+                     "--backend", "analytic"]) == 0
+        out = capsys.readouterr().out
+        adjacency = load_dataset("wiki-Vote", max_nodes=64,
+                                 seed=0).adjacency_csr()
+        with Session("Tile-4", backend="analytic") as session:
+            table = session.run(SweepSpec(
+                a=adjacency,
+                configs=[c.name for c in all_spgemm_configs()])).output
+        rows = [{"config": name, **{k: round(v, 3) for k, v in m.items()}}
+                for name, m in table.items()]
+        assert out.strip() == format_table(rows)
+
+    def test_batch_prints_job_rows_and_one_summary_row(self, capsys):
+        assert main(["batch", "--datasets", "wiki-Vote", "--repeat", "2",
+                     "--max-nodes", "64", "--config", "Tile-4",
+                     "--backend", "analytic"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        # Two tables: header, separator, body rows.
+        separators = [i for i, line in enumerate(lines) if "-+-" in line]
+        assert len(separators) == 2
+        job_header = [c.strip() for c in lines[separators[0] - 1].split("|")]
+        job_rows = lines[separators[0] + 1:separators[1] - 1]
+        summary_header = [c.strip()
+                          for c in lines[separators[1] - 1].split("|")]
+        summary_rows = lines[separators[1] + 1:]
+        assert job_header[:6] == ["label", "kind", "config", "backend",
+                                  "executor", "cycles"]
+        assert [row.split("|")[0].strip() for row in job_rows] == \
+            ["wiki-Vote#0", "wiki-Vote#1"]
+        assert len(summary_rows) == 1
+        assert summary_header[:2] == ["label", "kind"]
+        assert {"jobs", "total_cycles", "total_partial_products",
+                "total_energy_j", "cache_hits"} <= set(summary_header)
+        summary = dict(zip(summary_header,
+                           (c.strip() for c in summary_rows[0].split("|"))))
+        assert summary["kind"] == "batch"
+        assert summary["jobs"] == "2"
+        assert summary["cache_hits"] == "1"
 
     def test_batch_thread_executor(self, capsys):
         code = main(["batch", "--datasets", "wiki-Vote", "--repeat", "2",

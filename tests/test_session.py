@@ -119,15 +119,22 @@ class TestCloseLifecycle:
 
 class TestRunSpGEMM:
     def test_matches_legacy_single_call(self, analytic_session, wiki):
+        # The session adds caching and provenance around exactly one
+        # compile + backend execute on the chip.
+        from repro.backends import get_backend
+
         result = analytic_session.run(SpGEMMSpec(a=wiki, label="w"))
         chip = NeuraChip("Tile-4")
-        with pytest.deprecated_call():
-            legacy = chip.run_spgemm(wiki, backend="analytic")
-        assert result.metrics["cycles"] == legacy.report.cycles
+        program = chip.compile(wiki)
+        direct = get_backend("analytic").execute(
+            program, chip._context("numpy"), a_csr=wiki, b_csr=wiki)
+        assert result.metrics["cycles"] == direct.report.cycles
         assert result.metrics["partial_products"] == \
-            legacy.program.total_partial_products
-        assert result.metrics["output_nnz"] == legacy.output.nnz
-        assert np.allclose(result.output.to_dense(), legacy.output.to_dense())
+            program.total_partial_products
+        assert result.metrics["output_nnz"] == direct.output.nnz
+        assert np.array_equal(result.output.data, direct.output.data)
+        assert (result.power_w, result.energy_j) == \
+            chip._estimate_power(direct.report)
 
     def test_provenance_recorded(self, analytic_session, wiki):
         result = analytic_session.run(SpGEMMSpec(a=wiki))
@@ -219,11 +226,25 @@ class TestSharding:
         sharded = analytic_session.run(SpGEMMSpec(a=wiki, shards=4,
                                                   label="sharded"))
         assert sharded.provenance.shards == 4
-        assert len(sharded.shard_results) == 4
+        assert len(sharded.parts) == 4
         assert sharded.metrics["output_nnz"] == whole.metrics["output_nnz"]
         assert sharded.metrics["partial_products"] == \
             whole.metrics["partial_products"]
         assert np.allclose(sharded.output.to_dense(), whole.output.to_dense())
+
+    def test_sharded_parts_stitch_to_unsharded_output(self, wiki):
+        with Session("Tile-4", backend="analytic",
+                     partition="contiguous") as session:
+            whole = session.run(SpGEMMSpec(a=wiki))
+            sharded = session.run(SpGEMMSpec(a=wiki, shards=3))
+        assert [part.kind for part in sharded.parts] == ["spgemm"] * 3
+        stitched = csr_vstack([part.output for part in sharded.parts])
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(stitched, name),
+                                  getattr(whole.output, name))
+        assert sum(part.metrics["partial_products"]
+                   for part in sharded.parts) == \
+            whole.metrics["partial_products"]
 
     def test_sharded_distinct_b_operand(self, analytic_session, wiki, facebook):
         whole = analytic_session.run(SpGEMMSpec(a=wiki, b=facebook))
@@ -293,7 +314,8 @@ class TestMapAndSubmit:
         with Session("Tile-4", backend="analytic", executor="thread",
                      workers=2) as session:
             result = session.run(BatchSpec(specs=specs))
-        assert result.legacy.n_jobs == 2
+        assert result.metrics["jobs"] == 2
+        assert [part.provenance.shards for part in result.parts] == [2, 2]
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                         reason="needs >= 2 CPU cores to beat serial")
@@ -317,18 +339,19 @@ class TestMapAndSubmit:
 
 class TestGCNAndSweepSpecs:
     def test_gcn_layer_matches_legacy(self):
+        from repro.gnn.gcn import GCNWorkload
+
         dataset = load_dataset("cora", max_nodes=80, seed=6)
         with Session("Tile-4", backend="analytic") as session:
             result = session.run(GCNLayerSpec(dataset=dataset, feature_dim=8,
                                               hidden_dim=4))
-        chip = NeuraChip("Tile-4")
-        with pytest.deprecated_call():
-            legacy = chip.run_gcn_layer(dataset, feature_dim=8, hidden_dim=4,
-                                        backend="analytic")
+        workload = GCNWorkload.build(dataset, feature_dim=8, hidden_dim=4)
+        combination = NeuraChip("Tile-4")._combination_cycles(workload)
+        assert result.metrics["aggregation_cycles"] == result.report.cycles
+        assert result.metrics["combination_cycles"] == round(combination, 1)
         assert result.metrics["total_cycles"] == \
-            pytest.approx(round(legacy.total_cycles, 1))
-        assert np.allclose(result.output, legacy.output)
-        assert result.legacy.metadata == {"feature_dim": 8, "hidden_dim": 4}
+            round(result.report.cycles + combination, 1)
+        assert np.allclose(result.output, workload.reference_output())
 
     def test_gcn_aggregation_program_cached(self):
         dataset = load_dataset("cora", max_nodes=64, seed=6)
@@ -344,8 +367,9 @@ class TestGCNAndSweepSpecs:
         with Session("Tile-4", backend="analytic") as session:
             result = session.run(SweepSpec(a=wiki,
                                            configs=("Tile-4", "Tile-16")))
-        table = result.legacy
+        table = result.output
         assert set(table) == {"Tile-4", "Tile-16"}
+        assert result.metrics == {"configs": 2}
         for metric, value in table["Tile-4"].items():
             assert value == pytest.approx(1.0), metric
 
@@ -365,14 +389,13 @@ class TestBatchSpec:
                  for i in range(3)]
         with Session("Tile-4", backend="analytic") as session:
             result = session.run(BatchSpec(specs=specs))
-        report = result.legacy
-        assert report.n_jobs == 3
-        assert report.cache_hits == 2
-        rows = report.as_rows()
+        assert result.metrics["jobs"] == 3
+        assert result.metrics["cache_hits"] == 2
+        rows = [part.as_row() for part in result.parts]
         assert rows[0]["cache_hit"] is False
         assert rows[1]["cache_hit"] is True
         assert all("wall_time_s" in row for row in rows)
-        summary = report.summary()
+        summary = result.as_row()
         assert summary["cache_hits"] == 2
         assert summary["executor"] == "serial"
         assert summary["wall_time_s"] > 0
@@ -441,3 +464,42 @@ class TestFingerprint:
         key = cache.key(wiki, None, 4)
         assert key[0] == CACHE_SCHEMA_VERSION
         assert cache.key(wiki, None, 4, kind="gcn") != key
+
+
+class TestSingleEnvelope:
+    """RunResult is the only result type and Session the only entry point."""
+
+    def test_public_api_emits_no_deprecation_warning(self, wiki):
+        import warnings
+
+        dataset = load_dataset("cora", max_nodes=48, seed=6)
+        specs = [SpGEMMSpec(a=wiki, shards=2),
+                 GCNLayerSpec(dataset=dataset, feature_dim=4, hidden_dim=2),
+                 SweepSpec(a=wiki, configs=("Tile-4",)),
+                 BatchSpec(specs=[SpGEMMSpec(a=wiki)] * 2)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with Session("Tile-4", backend="analytic") as session:
+                results = session.map(specs)
+        assert [r.kind for r in results] == ["spgemm", "gcn_layer", "sweep",
+                                             "batch"]
+        assert not [w for w in caught
+                    if issubclass(w.category, DeprecationWarning)]
+
+    def test_legacy_names_are_gone(self):
+        import dataclasses
+
+        import repro
+        import repro.core
+
+        for name in ("SpGEMMRunResult", "GCNRunResult", "BatchReport",
+                     "JobOutcome", "WorkloadJob", "WorkloadQueue",
+                     "design_space_sweep"):
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.core, name), name
+        for name in ("run_spgemm", "run_gcn_layer", "run_batch",
+                     "run_program"):
+            assert not hasattr(NeuraChip, name), name
+        fields = {field.name for field in dataclasses.fields(RunResult)}
+        assert "parts" in fields
+        assert not fields & {"legacy", "shard_results"}
